@@ -9,15 +9,7 @@
 //!        [--json FILE] [--persist FILE] [--persist-every K]
 //!        [--resume FILE] [--halt-after N]
 //!        [--trace-out FILE] [--metrics-out FILE]
-//!        [--transport inproc|process] [--wire-kill SUPERSTEP:RANK]
 //! ```
-//!
-//! `--transport process` runs the exchange over the socket transport: one
-//! worker process per rank (this same binary re-exec'd with
-//! `--rank-worker`), CRC64-sealed frames, read/write deadlines with
-//! bounded retry. Results are bitwise identical to `inproc`. `--wire-kill
-//! SUPERSTEP:RANK` SIGKILLs one worker at that BSP barrier; the run
-//! engages the default recovery ladder and rides the real crash out.
 //!
 //! `--json` writes a structured run summary; on the cpu/gpu executors it
 //! includes the per-step [`StepRecord`]s of the metrics layer (agents,
@@ -38,14 +30,13 @@
 //! crash-restart testing (exit code 3).
 
 use gpusim::{KernelCategory, SharedSink, StepRecord};
-use pgas::{ProcessTransportConfig, TransportMode, WireFaultPlan};
 use simcov_bench::cli::CommonFlags;
 use simcov_bench::json::Json;
 use simcov_core::config::parse_config;
 use simcov_core::render::render_slice;
 use simcov_core::stats::TimeSeries;
 use simcov_cpu::{CpuSim, CpuSimConfig};
-use simcov_driver::{RecoveryPolicy, SerialDriver, Simulation};
+use simcov_driver::{SerialDriver, Simulation};
 use simcov_gpu::{GpuSim, GpuSimConfig, GpuVariant};
 use simcov_telemetry::{chrome, prometheus, HealthConfig, Telemetry};
 use std::fs;
@@ -65,8 +56,6 @@ struct Args {
     halt_after: Option<u64>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    transport: String,
-    wire_kill: Option<(u64, usize)>,
 }
 
 fn usage() -> ! {
@@ -76,37 +65,9 @@ fn usage() -> ! {
          \t[--variant unoptimized|fast-reduction|memory-tiling|combined]\n\
          \t[--json FILE] [--persist FILE] [--persist-every K]\n\
          \t[--resume FILE] [--halt-after N]\n\
-         \t[--trace-out FILE] [--metrics-out FILE]\n\
-         \t[--transport inproc|process] [--wire-kill SUPERSTEP:RANK]"
+         \t[--trace-out FILE] [--metrics-out FILE]"
     );
     std::process::exit(2);
-}
-
-/// `simcov --rank-worker --connect ADDR --rank N --token T`: the per-rank
-/// frame-holder process of the socket transport re-enters this same binary.
-/// Never invoked by hand; the argument surface is frozen by the transport.
-fn run_worker(args: &[String]) -> ! {
-    let (mut connect, mut rank, mut token) = (None, None, None);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = it.next().cloned(),
-            "--rank" => rank = it.next().and_then(|v| v.parse::<usize>().ok()),
-            "--token" => token = it.next().and_then(|v| v.parse::<u64>().ok()),
-            _ => {}
-        }
-    }
-    let (Some(connect), Some(rank), Some(token)) = (connect, rank, token) else {
-        eprintln!("--rank-worker requires --connect ADDR --rank N --token T");
-        std::process::exit(2);
-    };
-    match pgas::run_rank_worker(&connect, rank, token) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("rank worker {rank}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn parse_args() -> Args {
@@ -125,8 +86,6 @@ fn parse_args() -> Args {
         halt_after: None,
         trace_out: None,
         metrics_out: None,
-        transport: "inproc".into(),
-        wire_kill: None,
     };
     let (common, rest) = CommonFlags::parse_with_rest();
     args.json = common.json;
@@ -168,17 +127,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage())
             }
             "--resume" => args.resume = Some(it.next().unwrap_or_else(|| usage())),
-            "--transport" => args.transport = it.next().unwrap_or_else(|| usage()),
-            "--wire-kill" => {
-                // SUPERSTEP:RANK — SIGKILL that worker at that BSP barrier.
-                args.wire_kill = it
-                    .next()
-                    .and_then(|v| {
-                        let (s, r) = v.split_once(':')?;
-                        Some((s.parse().ok()?, r.parse().ok()?))
-                    })
-                    .or_else(|| usage())
-            }
             "--halt-after" => {
                 args.halt_after = Some(
                     it.next()
@@ -224,11 +172,6 @@ fn write_csv(path: &str, h: &TimeSeries) {
 }
 
 fn main() {
-    // Transport workers re-enter this binary; divert before normal parsing.
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.get(1).map(String::as_str) == Some("--rank-worker") {
-        run_worker(&argv[2..]);
-    }
     let args = parse_args();
     let text = fs::read_to_string(&args.config)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", args.config));
@@ -255,44 +198,16 @@ fn main() {
     let ck_params = params.clone();
     // The per-step metrics sink backing --json.
     let sink = SharedSink::new();
-    // `--transport process` re-execs this binary as one worker per rank;
-    // `--wire-kill` additionally schedules a real SIGKILL at a barrier, so
-    // the default recovery ladder is engaged to ride it out.
-    let transport = match args.transport.as_str() {
-        "inproc" => TransportMode::InProcess,
-        "process" => {
-            let exe = std::env::current_exe().expect("current_exe");
-            let mut tcfg = ProcessTransportConfig::exec(exe);
-            if let Some((superstep, rank)) = args.wire_kill {
-                tcfg = tcfg.with_wire_faults(WireFaultPlan::none().kill_worker(superstep, rank));
-            }
-            TransportMode::Process(tcfg)
-        }
-        _ => usage(),
-    };
-    if matches!(transport, TransportMode::Process(_)) && args.executor == "serial" {
-        eprintln!("--transport process requires --executor cpu or gpu");
-        std::process::exit(2);
-    }
     // One object-safe driver API over all three executors.
     let mut driver: Box<dyn Simulation> = match args.executor.as_str() {
         "serial" => Box::new(SerialDriver::new(params).unwrap_or_else(|e| panic!("{e}"))),
-        "cpu" => {
-            let mut cfg = CpuSimConfig::new(params, args.units).with_transport(transport);
-            if args.wire_kill.is_some() {
-                cfg = cfg.with_recovery(RecoveryPolicy::default());
-            }
-            Box::new(CpuSim::new(cfg).unwrap_or_else(|e| panic!("{e}")))
-        }
-        "gpu" => {
-            let mut cfg = GpuSimConfig::new(params, args.units)
-                .with_variant(args.variant)
-                .with_transport(transport);
-            if args.wire_kill.is_some() {
-                cfg = cfg.with_recovery(RecoveryPolicy::default());
-            }
-            Box::new(GpuSim::new(cfg).unwrap_or_else(|e| panic!("{e}")))
-        }
+        "cpu" => Box::new(
+            CpuSim::new(CpuSimConfig::new(params, args.units)).unwrap_or_else(|e| panic!("{e}")),
+        ),
+        "gpu" => Box::new(
+            GpuSim::new(GpuSimConfig::new(params, args.units).with_variant(args.variant))
+                .unwrap_or_else(|e| panic!("{e}")),
+        ),
         _ => usage(),
     };
     if args.json.is_some() {
@@ -377,20 +292,6 @@ fn main() {
     if let Some(path) = &args.out_csv {
         write_csv(path, history);
         eprintln!("time series -> {path} ({} rows)", history.len());
-    }
-    if let Some(wire) = driver.transport_counters() {
-        eprintln!(
-            "wire: {} frames / {} bytes sent, {} retransmits, {} deadline retries, \
-             {} peers closed, {} timed out, {} workers spawned (+{} respawned)",
-            wire.frames_sent,
-            wire.bytes_sent,
-            wire.wire_retransmits,
-            wire.deadline_retries,
-            wire.peers_closed,
-            wire.peers_timed_out,
-            wire.workers_spawned,
-            wire.workers_respawned,
-        );
     }
     let last = history.steps.last().expect("at least one step");
     if let Some(path) = &args.json {
@@ -507,37 +408,6 @@ fn publish_final_metrics(tel: &Telemetry, driver: &dyn Simulation) {
             &[("kind", label)],
         )
         .add(count as u64);
-    }
-    if let Some(wire) = driver.transport_counters() {
-        for (name, help, value) in [
-            (
-                "simcov_wire_frames_sent_total",
-                "Sealed frames shipped over the socket transport",
-                wire.frames_sent,
-            ),
-            (
-                "simcov_wire_bytes_sent_total",
-                "Frame bytes shipped over the socket transport",
-                wire.bytes_sent,
-            ),
-            (
-                "simcov_wire_retransmits_total",
-                "Inbox deliveries re-requested after garble or drop",
-                wire.wire_retransmits,
-            ),
-            (
-                "simcov_wire_deadline_retries_total",
-                "Read-deadline expiries that were retried",
-                wire.deadline_retries,
-            ),
-            (
-                "simcov_wire_workers_respawned_total",
-                "Workers respawned by elastic rebuilds",
-                wire.workers_respawned,
-            ),
-        ] {
-            reg.counter(name, help).add(value);
-        }
     }
     reg.counter(
         "simcov_telemetry_events_total",

@@ -30,9 +30,6 @@ pub enum ConfigError {
     ZeroDevicesPerNode,
     /// The grid cannot be partitioned as requested.
     Partition(String),
-    /// The process transport could not be brought up (socket bind, worker
-    /// spawn or handshake failure).
-    Transport(String),
 }
 
 impl fmt::Display for ConfigError {
@@ -54,7 +51,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::ZeroDevicesPerNode => write!(f, "need at least one device per node"),
             ConfigError::Partition(why) => write!(f, "cannot partition grid: {why}"),
-            ConfigError::Transport(why) => write!(f, "cannot start process transport: {why}"),
         }
     }
 }

@@ -19,7 +19,7 @@ use gpusim::{CostModel, DeviceCounters, HwProfile};
 use pgas::fault::{
     IntegrityDetector, IntegrityRecord, PendingStateCorruption, RecoveryRecord, SuperstepError,
 };
-use pgas::{CommCounters, Trace};
+use pgas::CommCounters;
 use simcov_core::checkpoint::RunCheckpoint;
 use simcov_core::extrav::TrialTable;
 use simcov_core::foi::FoiPattern;
@@ -86,15 +86,6 @@ pub trait Executor {
     fn hw_profile<'a>(&self, model: &'a CostModel) -> &'a HwProfile;
 
     fn bsp_counters(&self) -> CommCounters;
-    fn bsp_trace(&self) -> &Trace;
-    fn bsp_enable_trace(&mut self);
-
-    /// Wire-side counters of the socket transport (`None` while the
-    /// in-process mailboxes carry the exchange). Strictly overhead
-    /// accounting — [`Executor::bsp_counters`] stays transport-invariant.
-    fn wire_counters(&self) -> Option<pgas::TransportCounters> {
-        None
-    }
 
     /// Hand the telemetry handle down to the BSP runtime (and, for the GPU
     /// executor, to every device) so supersteps, rank phases and kernel
@@ -215,19 +206,8 @@ pub trait Simulation {
     /// Every health finding so far, in detection order.
     fn health_records(&self) -> &[HealthRecord];
 
-    /// Start recording runtime trace events (no-op for serial).
-    fn enable_trace(&mut self);
-
-    fn trace(&self) -> &Trace;
-
     /// Cumulative communication counters (zeros for serial).
     fn comm_counters(&self) -> CommCounters;
-
-    /// Wire-side counters of the socket transport (`None` on the in-process
-    /// mailbox path and on the serial executor).
-    fn transport_counters(&self) -> Option<pgas::TransportCounters> {
-        None
-    }
 
     /// Cumulative work counters, including generations retired by recovery.
     fn total_counters(&self) -> DeviceCounters;
@@ -411,20 +391,8 @@ impl<E: Executor> Simulation for E {
             .unwrap_or(&[])
     }
 
-    fn enable_trace(&mut self) {
-        self.bsp_enable_trace();
-    }
-
-    fn trace(&self) -> &Trace {
-        self.bsp_trace()
-    }
-
     fn comm_counters(&self) -> CommCounters {
         self.bsp_counters()
-    }
-
-    fn transport_counters(&self) -> Option<pgas::TransportCounters> {
-        self.wire_counters()
     }
 
     fn total_counters(&self) -> DeviceCounters {
@@ -781,13 +749,11 @@ fn epilogue_integrity<E: Executor + ?Sized>(exec: &mut E, t: u64) -> Result<(), 
 ///
 /// [`SerialSim`] has no runtime (no ranks, no mailboxes, no fault surface),
 /// so it implements [`Simulation`] directly rather than through
-/// [`Executor`]: traces and communication counters are empty, recovery is
+/// [`Executor`]: communication counters are empty, recovery is
 /// unavailable, and checkpoint/restore operate on the whole world.
 pub struct SerialDriver {
     sim: SerialSim,
     metrics: Option<Box<dyn MetricsSink<StepRecord>>>,
-    /// Permanently-disabled trace handed out by [`Simulation::trace`].
-    empty_trace: Trace,
     /// Attached telemetry: serial steps record flat `step` spans (no
     /// supersteps or ranks exist to nest under them).
     telemetry: Telemetry,
@@ -810,7 +776,6 @@ impl SerialDriver {
         Ok(SerialDriver {
             sim: SerialSim::with_pattern(params, pattern),
             metrics: None,
-            empty_trace: Trace::disabled(),
             telemetry: Telemetry::disabled(),
             state: DriverState::initial(1, None, false),
             initial_state: DriverState::initial(1, None, false),
@@ -829,7 +794,6 @@ impl SerialDriver {
         Ok(SerialDriver {
             sim: SerialSim::from_world(params, world),
             metrics: None,
-            empty_trace: Trace::disabled(),
             telemetry: Telemetry::disabled(),
             state: DriverState::initial(1, None, false),
             initial_state: DriverState::initial(1, None, false),
@@ -930,12 +894,6 @@ impl Simulation for SerialDriver {
 
     fn health_records(&self) -> &[HealthRecord] {
         &[]
-    }
-
-    fn enable_trace(&mut self) {}
-
-    fn trace(&self) -> &Trace {
-        &self.empty_trace
     }
 
     fn comm_counters(&self) -> CommCounters {

@@ -24,13 +24,6 @@ use crate::fault::{
 };
 use crate::mailbox::{ExchangeFaults, Mailboxes, Outbox};
 use crate::pool::WorkPool;
-#[cfg(not(feature = "trace"))]
-use crate::trace::Span;
-use crate::trace::{SpanVolume, Trace};
-use crate::transport::{
-    ExchangeTransport, ProcessTransport, ProcessTransportConfig, TransportCounters, WireOutcome,
-};
-use crate::wire::WireCodec;
 use simcov_telemetry::{Histogram, RankWalls, SpanKind, Telemetry};
 use std::sync::Mutex;
 
@@ -48,9 +41,6 @@ pub struct Bsp<M> {
     /// Per-rank bucketed outboxes, reused superstep over superstep.
     outboxes: Vec<Outbox<M>>,
     pub counters: CommCounters,
-    /// Per-superstep event log (disabled by default; see
-    /// [`Bsp::enable_trace`]).
-    pub trace: Trace,
     /// Scheduled fault injections (empty by default; see
     /// [`Bsp::inject_faults`]).
     plan: FaultPlan,
@@ -75,13 +65,6 @@ pub struct Bsp<M> {
     rank_walls: Vec<RankWalls>,
     /// Reusable per-rank wall scratch (one slot per rank, unique writer).
     wall_scratch: Vec<u64>,
-    /// Optional process transport (see [`crate::transport`]): when attached,
-    /// every barrier exchange round-trips the staged buckets through
-    /// per-rank worker processes before logical delivery.
-    transport: Option<Box<dyn ExchangeTransport<M>>>,
-    /// Last wire-counter snapshot from the transport; survives graceful
-    /// degradation back to the in-process path.
-    wire_counters: TransportCounters,
 }
 
 impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
@@ -92,7 +75,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             mail: Mailboxes::new(n_ranks),
             outboxes: (0..n_ranks).map(|_| Outbox::for_ranks(n_ranks)).collect(),
             counters: CommCounters::new(),
-            trace: Trace::disabled(),
             plan: FaultPlan::none(),
             verify_batches: false,
             retransmit_budget: DEFAULT_RETRANSMIT_BUDGET,
@@ -102,8 +84,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             superstep_hist: None,
             rank_walls: Vec::new(),
             wall_scratch: Vec::new(),
-            transport: None,
-            wire_counters: TransportCounters::default(),
         }
     }
 
@@ -156,7 +136,7 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
     }
 
     /// Consume this runtime and return a fresh one over `n_ranks` ranks,
-    /// carrying the cumulative counters, trace log and remaining fault plan
+    /// carrying the cumulative counters, telemetry and remaining fault plan
     /// forward. Used by recovery: after a rank death the driver rolls back
     /// to a checkpoint and rebuilds the domain across the survivors —
     /// in-flight messages from the failed epoch must not leak into the new
@@ -165,28 +145,11 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
     /// just because the epoch was rebuilt.
     pub fn rebuilt(self, n_ranks: usize) -> Bsp<M> {
         assert!(n_ranks >= 1);
-        // Respawn the transport's worker set for the new domain; if that
-        // fails, degrade gracefully to the in-process path rather than
-        // abandon the recovery (the wire counters record the degradation).
-        let mut wire_counters = self.wire_counters;
-        let transport = match self.transport {
-            Some(mut t) => {
-                let ok = t.rebuilt(n_ranks);
-                wire_counters = t.counters();
-                if ok {
-                    Some(t)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
         Bsp {
             n_ranks,
             mail: Mailboxes::new(n_ranks),
             outboxes: (0..n_ranks).map(|_| Outbox::for_ranks(n_ranks)).collect(),
             counters: self.counters,
-            trace: self.trace,
             plan: self.plan,
             verify_batches: self.verify_batches,
             retransmit_budget: self.retransmit_budget,
@@ -196,16 +159,7 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             superstep_hist: self.superstep_hist,
             rank_walls: self.rank_walls,
             wall_scratch: Vec::new(),
-            transport,
-            wire_counters,
         }
-    }
-
-    /// Start recording one trace event per superstep (wall-clock plus
-    /// delivered message/byte volume). Without the `trace` cargo feature
-    /// this enables the log but supersteps record nothing.
-    pub fn enable_trace(&mut self) {
-        self.trace.enable();
     }
 
     /// Attach a unified telemetry handle. With an enabled handle every
@@ -296,12 +250,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
         F: Fn(usize, &mut S, &[M], &mut Outbox<M>) -> R + Sync,
     {
         assert_eq!(states.len(), self.n_ranks, "one state per rank");
-        // Without the `trace` feature the span is untimed, but `finish`
-        // still accumulates volume so counters never silently read zero.
-        #[cfg(feature = "trace")]
-        let span = self.trace.span("superstep");
-        #[cfg(not(feature = "trace"))]
-        let span = Span::disabled("superstep");
         let step_index = self.counters.supersteps;
         let tel = self.telemetry.clone();
         let tel_on = tel.is_enabled();
@@ -350,18 +298,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             }
             killed.sort_unstable();
             killed.dedup();
-        }
-
-        // Under a process transport a scheduled rank death is a *real*
-        // crash: the rank's worker process is SIGKILLed along with the
-        // logical skip, so the wire discovers the same dead set the
-        // heartbeat scan does.
-        if !killed.is_empty() {
-            if let Some(t) = self.transport.as_mut() {
-                for &rank in &killed {
-                    t.kill_rank(rank);
-                }
-            }
         }
 
         for ob in &mut self.outboxes {
@@ -464,7 +400,7 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
 
         // Barrier, part 1 — heartbeat scan: any rank that did not check in
         // is structurally detected as dead, however it was lost.
-        let mut dead_ranks: Vec<usize> = heartbeats
+        let dead_ranks: Vec<usize> = heartbeats
             .iter()
             .enumerate()
             .filter(|(_, alive)| !**alive)
@@ -482,25 +418,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
             }
         }
         let exchange = tel.open();
-        // With a process transport attached the staged buckets round-trip
-        // through the worker processes first: what the logical exchange
-        // below delivers is exactly what came back over the wire, so a
-        // frame lost or garbled past the retry budget has real effect.
-        // Buckets bound for a dead peer keep their staged originals, which
-        // keeps the volume metering transport-invariant.
-        let wire = match self.transport.as_mut() {
-            Some(t) => {
-                let outcome = t.round_trip(step_index, &mut self.outboxes);
-                self.wire_counters = t.counters();
-                outcome
-            }
-            None => WireOutcome::default(),
-        };
-        if !wire.dead_peers.is_empty() {
-            dead_ranks.extend(wire.dead_peers.iter().copied());
-            dead_ranks.sort_unstable();
-            dead_ranks.dedup();
-        }
         let vol = self.mail.exchange_faulted(
             pool,
             &mut self.outboxes,
@@ -538,10 +455,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
                 action: IntegrityAction::Retransmit,
             });
         }
-        self.trace.finish(
-            span,
-            SpanVolume::new(vol.msgs, vol.bytes, vol.bulk_msgs, vol.bulk_bytes),
-        );
         if tel_on {
             tel.close(
                 0,
@@ -568,13 +481,6 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
                 superstep: step_index,
                 walls: self.wall_scratch.clone(),
             });
-            if self.transport.is_some() {
-                if let Some(reg) = tel.registry() {
-                    for s in &self.wire_counters.per_peer {
-                        s.publish(reg);
-                    }
-                }
-            }
         }
         if !dead_ranks.is_empty() || vol.dropped > 0 {
             return Err(SuperstepError::Failure(SuperstepFailure {
@@ -591,42 +497,7 @@ impl<M: Send + Sync + WireSize + Payload> Bsp<M> {
                 unhealed: vol.unhealed,
             }));
         }
-        if !wire.unhealed_garbled.is_empty() {
-            // Wire garbage past the retry budget is an integrity failure of
-            // its own, metered on the transport — CommCounters stay exactly
-            // what the logical exchange produced.
-            return Err(SuperstepError::Integrity(IntegrityFailure {
-                superstep: step_index,
-                corrupt_batches: wire.unhealed_garbled.len() as u64,
-                healed: 0,
-                unhealed: wire.unhealed_garbled.len() as u64,
-            }));
-        }
         Ok(results)
-    }
-}
-
-impl<M: Send + Sync + WireSize + Payload + WireCodec + 'static> Bsp<M> {
-    /// Attach a process transport: spawn one worker process per rank and
-    /// round-trip every subsequent barrier exchange through them. Requires
-    /// `M: WireCodec` — messages must actually cross a process boundary.
-    pub fn attach_process_transport(&mut self, cfg: ProcessTransportConfig) -> std::io::Result<()> {
-        let t = ProcessTransport::<M>::spawn(self.n_ranks, cfg)?;
-        self.wire_counters = t.counters();
-        self.transport = Some(Box::new(t));
-        Ok(())
-    }
-}
-
-impl<M> Bsp<M> {
-    /// Is a process transport currently attached (false after degradation)?
-    pub fn has_transport(&self) -> bool {
-        self.transport.is_some()
-    }
-
-    /// Wire-side counters from the attached (or degraded) transport.
-    pub fn transport_counters(&self) -> &TransportCounters {
-        &self.wire_counters
     }
 }
 
@@ -1038,117 +909,5 @@ mod tests {
         assert_eq!(t.get(), 100);
         assert_eq!(t.reset(), 100);
         assert_eq!(t.get(), 0);
-    }
-
-    use crate::transport::{ProcessTransportConfig, WireFaultPlan};
-
-    fn fast_transport() -> ProcessTransportConfig {
-        ProcessTransportConfig::forked()
-            .with_deadlines(500_000_000, 500_000_000)
-            .with_retry(3, 100_000)
-    }
-
-    /// Run a fixed all-to-all workload; every rank accumulates everything it
-    /// has ever received. Returns (per-rank sums, final counters).
-    fn ring_workload(bsp: &mut Bsp<u64>, supersteps: u64) -> (Vec<u64>, CommCounters) {
-        let pool = WorkPool::new(2);
-        let n = bsp.n_ranks();
-        let mut states = vec![0u64; n];
-        for step in 0..supersteps {
-            bsp.superstep(&pool, &mut states, |rank, s, inbox, out| {
-                for m in inbox {
-                    *s += m;
-                }
-                for dst in 0..n {
-                    if dst != rank {
-                        out.send(dst, (rank as u64) * 100 + step);
-                    }
-                }
-            });
-        }
-        (states, bsp.counters)
-    }
-
-    #[test]
-    fn process_transport_is_bitwise_identical_to_in_process() {
-        let mut inproc: Bsp<u64> = Bsp::new(4);
-        let (ref_states, ref_counters) = ring_workload(&mut inproc, 5);
-
-        let mut wired: Bsp<u64> = Bsp::new(4);
-        wired
-            .attach_process_transport(fast_transport())
-            .expect("spawn workers");
-        let (states, counters) = ring_workload(&mut wired, 5);
-
-        assert_eq!(states, ref_states, "delivered content diverged");
-        assert_eq!(counters, ref_counters, "comm metering diverged");
-        let wc = wired.transport_counters();
-        assert!(wc.frames_sent > 0, "traffic actually crossed the wire");
-        assert_eq!(wc.frames_received, wc.frames_sent);
-    }
-
-    #[test]
-    fn rank_death_under_transport_is_a_real_worker_crash() {
-        use crate::fault::FaultEvent;
-        let pool = WorkPool::new(2);
-        let mut bsp: Bsp<u64> = Bsp::new(3);
-        bsp.attach_process_transport(fast_transport())
-            .expect("spawn workers");
-        bsp.inject_faults(FaultPlan::from_events(vec![FaultEvent {
-            superstep: 1,
-            rank: 1,
-            kind: FaultKind::RankDeath,
-        }]));
-        let mut states = vec![0u64; 3];
-        bsp.try_superstep(&pool, &mut states, |rank, _s, _i, out| {
-            out.send((rank + 1) % 3, rank as u64);
-        })
-        .expect("superstep 0 healthy");
-        let err = bsp
-            .try_superstep(&pool, &mut states, |rank, _s, _i, out| {
-                out.send((rank + 1) % 3, rank as u64);
-            })
-            .expect_err("rank 1 died");
-        let SuperstepError::Failure(err) = err else {
-            panic!("expected structural failure, got {err}");
-        };
-        assert_eq!(err.dead_ranks, vec![1], "wire and heartbeat agree");
-
-        // The recovery path: rebuild over the survivors respawns workers
-        // and the domain keeps exchanging over the wire.
-        let mut bsp = bsp.rebuilt(2);
-        assert!(bsp.has_transport(), "respawned, not degraded");
-        let mut states = vec![0u64; 2];
-        bsp.superstep(&pool, &mut states, |rank, _s, _i, out| {
-            out.send(1 - rank, 7);
-        });
-        let got = bsp.superstep(&pool, &mut states, |_r, _s, inbox, _o| inbox.to_vec());
-        assert_eq!(got, vec![vec![7], vec![7]]);
-        assert!(bsp.transport_counters().workers_respawned >= 2);
-    }
-
-    #[test]
-    fn unhealed_wire_garble_is_a_typed_integrity_failure() {
-        let pool = WorkPool::new(0);
-        let mut bsp: Bsp<u64> = Bsp::new(2);
-        let cfg = fast_transport()
-            .with_retry(2, 50_000)
-            .with_wire_faults(WireFaultPlan::none().garble(0, 1, 0xBAD, true));
-        bsp.attach_process_transport(cfg).expect("spawn workers");
-        let mut states = vec![0u64; 2];
-        let err = bsp
-            .try_superstep(&pool, &mut states, |rank, _s, _i, out| {
-                out.send(1 - rank, rank as u64);
-            })
-            .expect_err("sticky garble exhausts the retry budget");
-        let SuperstepError::Integrity(err) = err else {
-            panic!("expected integrity failure, got {err}");
-        };
-        assert_eq!(err.unhealed, 1);
-        assert_eq!(err.healed, 0);
-        // The logical comm counters never saw the wire corruption.
-        assert_eq!(bsp.counters.corrupt_batches, 0);
-        assert_eq!(bsp.counters.retransmits, 0);
-        assert!(bsp.transport_counters().wire_retransmits >= 1);
     }
 }

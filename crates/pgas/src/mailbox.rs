@@ -97,21 +97,6 @@ impl<M> Outbox<M> {
         }
         self.total = 0;
     }
-
-    /// The staged bucket for `dest` (the process transport encodes each
-    /// non-empty bucket into one wire frame).
-    pub(crate) fn bucket(&self, dest: usize) -> &[M] {
-        &self.buckets[dest]
-    }
-
-    /// Replace the staged bucket for `dest` with what actually came back
-    /// over the wire, keeping the staged-message total consistent. On a
-    /// healthy exchange the replacement is bit-identical to the original;
-    /// the swap is what makes a garbled or retransmitted frame *matter*.
-    pub(crate) fn replace_bucket(&mut self, dest: usize, msgs: Vec<M>) {
-        self.total = self.total - self.buckets[dest].len() + msgs.len();
-        self.buckets[dest] = msgs;
-    }
 }
 
 /// Exact communication volume of one barrier exchange.

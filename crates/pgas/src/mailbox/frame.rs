@@ -64,106 +64,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Why a frame failed to *stream* in: either the underlying reader failed
-/// (including a clean truncation, surfaced as
-/// [`std::io::ErrorKind::UnexpectedEof`]) or the bytes that did arrive
-/// violate the frame structure.
-#[derive(Debug)]
-pub enum FrameStreamError {
-    /// The reader failed or the stream ended mid-frame.
-    Io(std::io::Error),
-    /// The frame arrived whole but is structurally or cryptographically bad.
-    Frame(FrameError),
-}
-
-impl std::fmt::Display for FrameStreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameStreamError::Io(e) => write!(f, "frame stream i/o: {e}"),
-            FrameStreamError::Frame(e) => write!(f, "frame stream: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameStreamError {}
-
-impl From<std::io::Error> for FrameStreamError {
-    fn from(e: std::io::Error) -> Self {
-        FrameStreamError::Io(e)
-    }
-}
-
-impl From<FrameError> for FrameStreamError {
-    fn from(e: FrameError) -> Self {
-        FrameStreamError::Frame(e)
-    }
-}
-
-/// Fill `buf` from `r`, looping over arbitrarily short reads. Unlike
-/// `Read::read_exact` the partial-read behavior is pinned here, because the
-/// process transport's correctness argument depends on it: a `read` that
-/// returns fewer bytes than asked (a TCP segment boundary, a signal) must
-/// never be mistaken for end-of-stream, and a genuine EOF mid-fill must
-/// surface as a typed error, never as a short buffer silently treated as
-/// complete.
-fn fill_exact<R: std::io::Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "stream ended {} bytes into a {}-byte fill",
-                        filled,
-                        buf.len()
-                    ),
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Read exactly one frame from a byte stream, returning `(count, payload)`.
-///
-/// The in-memory [`decode`] requires the whole frame resident up front; this
-/// is its streaming sibling for sockets and files, hardened the same way:
-/// the declared payload length is validated against `max_payload` *before*
-/// any allocation, a short read never panics or mis-frames (the fill loop
-/// tolerates arbitrary split points), and a truncated stream surfaces as
-/// [`FrameStreamError::Io`] with [`std::io::ErrorKind::UnexpectedEof`]. On
-/// success the stream is positioned exactly after the frame's CRC trailer,
-/// so self-delimiting frames can be read back-to-back.
-pub fn read_frame<R: std::io::Read>(
-    r: &mut R,
-    max_payload: u64,
-) -> Result<(u64, Vec<u8>), FrameStreamError> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    fill_exact(r, &mut header)?;
-    let count = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    if payload_len > max_payload {
-        return Err(FrameError::LengthOverflow { payload_len }.into());
-    }
-    let mut rest = vec![0u8; payload_len as usize + FRAME_TRAILER_BYTES];
-    fill_exact(r, &mut rest)?;
-    let body_end = payload_len as usize;
-    let expected = u64::from_le_bytes(rest[body_end..].try_into().expect("8 bytes"));
-    let mut crc = crate::crc::Crc64::new();
-    crc.update(&header);
-    crc.update(&rest[..body_end]);
-    let got = crc.finish();
-    if got != expected {
-        return Err(FrameError::Corrupt { expected, got }.into());
-    }
-    rest.truncate(body_end);
-    Ok((count, rest))
-}
-
 /// Encode `payload` (carrying `count` logical messages) as one frame.
 pub fn encode(count: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len() + FRAME_TRAILER_BYTES);
@@ -302,139 +202,5 @@ mod tests {
         }
         // And the pristine frame still decodes after all that.
         assert!(decode(&frame).is_ok());
-    }
-
-    /// A reader that hands out at most `chunk` bytes per `read` call and can
-    /// cut the stream dead at `cutoff` — the adversarial substrate for the
-    /// streaming-reader fuzz below.
-    struct Chunked<'a> {
-        data: &'a [u8],
-        pos: usize,
-        chunk: usize,
-        cutoff: usize,
-    }
-
-    impl std::io::Read for Chunked<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let end = self.data.len().min(self.cutoff);
-            if self.pos >= end {
-                return Ok(0);
-            }
-            let n = buf.len().min(self.chunk).min(end - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    /// Satellite pin: the streaming reader must decode identically no matter
-    /// where the transport splits its reads — every chunk size from 1 byte
-    /// up, including pathological 1-byte trickles across both length fields.
-    #[test]
-    fn read_frame_is_split_point_invariant() {
-        let payload: Vec<u8> = (0..313).map(|i| (i * 7 % 256) as u8).collect();
-        let frame = encode(11, &payload);
-        for chunk in [1usize, 2, 3, 5, 7, 15, 16, 17, 64, 1024] {
-            let mut r = Chunked {
-                data: &frame,
-                pos: 0,
-                chunk,
-                cutoff: usize::MAX,
-            };
-            let (count, body) = read_frame(&mut r, 1 << 20)
-                .unwrap_or_else(|e| panic!("chunk {chunk}: clean frame failed: {e}"));
-            assert_eq!(count, 11);
-            assert_eq!(body, payload);
-        }
-    }
-
-    /// Truncating the stream at *every* byte offset must yield a typed
-    /// `UnexpectedEof` — never a panic, never a short frame passed off as
-    /// complete, never a mis-framed success.
-    #[test]
-    fn read_frame_rejects_every_truncation_point() {
-        let frame = encode(3, b"cut me anywhere");
-        for cutoff in 0..frame.len() {
-            for chunk in [1usize, 4, 64] {
-                let mut r = Chunked {
-                    data: &frame,
-                    pos: 0,
-                    chunk,
-                    cutoff,
-                };
-                match read_frame(&mut r, 1 << 20) {
-                    Err(FrameStreamError::Io(e)) => {
-                        assert_eq!(
-                            e.kind(),
-                            std::io::ErrorKind::UnexpectedEof,
-                            "cutoff {cutoff}: wrong error kind"
-                        );
-                    }
-                    Err(other) => panic!("cutoff {cutoff}: wrong error class: {other}"),
-                    Ok(_) => panic!("cutoff {cutoff}: truncated stream decoded"),
-                }
-            }
-        }
-    }
-
-    /// Seeded hammering of the streaming reader: random flips, truncations
-    /// and hostile length fields through random chunk sizes never panic and
-    /// never validate damaged bytes; back-to-back frames stay delimited.
-    #[test]
-    fn read_frame_fuzz_never_panics_or_misframes() {
-        let mut rng = SplitMix64::new(0x00D_FACE);
-        let payload: Vec<u8> = (0..257).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-        let frame = encode(9, &payload);
-        for _ in 0..2000 {
-            let mut blob = frame.clone();
-            match rng.next_u64() % 3 {
-                0 => {
-                    let cut = (rng.next_u64() as usize) % (blob.len() + 1);
-                    blob.truncate(cut);
-                }
-                1 => {
-                    let bit = (rng.next_u64() as usize) % (blob.len() * 8);
-                    blob[bit / 8] ^= 1 << (bit % 8);
-                }
-                _ => {
-                    // Hostile declared length (possibly huge) with the rest
-                    // of the frame left as-is.
-                    let lie = rng.next_u64();
-                    blob[8..16].copy_from_slice(&lie.to_le_bytes());
-                }
-            }
-            if blob == frame {
-                continue;
-            }
-            let chunk = 1 + (rng.next_u64() as usize) % 64;
-            let mut r = Chunked {
-                data: &blob,
-                pos: 0,
-                chunk,
-                cutoff: usize::MAX,
-            };
-            // The cap mirrors the transport's: no allocation beyond it.
-            if let Ok((count, body)) = read_frame(&mut r, 1 << 20) {
-                assert!(
-                    count == 9 && body == payload,
-                    "damaged stream validated differently: count={count}"
-                );
-            }
-        }
-        // Two pristine frames back-to-back: the reader must stop exactly at
-        // the trailer so the second frame decodes from the same stream.
-        let mut two = frame.clone();
-        let second = encode(1, b"next");
-        two.extend_from_slice(&second);
-        let mut r = Chunked {
-            data: &two,
-            pos: 0,
-            chunk: 3,
-            cutoff: usize::MAX,
-        };
-        let (c1, b1) = read_frame(&mut r, 1 << 20).expect("first frame");
-        assert_eq!((c1, b1.as_slice()), (9, payload.as_slice()));
-        let (c2, b2) = read_frame(&mut r, 1 << 20).expect("second frame");
-        assert_eq!((c2, b2.as_slice()), (1, b"next".as_slice()));
     }
 }

@@ -10,7 +10,6 @@
 use pgas::counters::WireSize;
 use pgas::crc::{Crc64, Payload};
 use pgas::fault::SplitMix64;
-use pgas::wire::{WireCodec, WireReader, WireWrite};
 use simcov_core::tcell::TCellSlot;
 
 /// An aggregated boundary-concentration cell (gid, virions, chemokine).
@@ -229,132 +228,6 @@ fn pick<'a, T>(v: &'a mut [T], rng: &mut SplitMix64) -> Option<&'a mut T> {
     }
 }
 
-impl ConcCell {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.put_u64(self.gid);
-        out.put_f32(self.virions);
-        out.put_f32(self.chem);
-    }
-
-    fn decode_from(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(ConcCell {
-            gid: r.read_u64()?,
-            virions: r.read_f32()?,
-            chem: r.read_f32()?,
-        })
-    }
-}
-
-/// Process-boundary codec, mirroring the [`Payload::digest`] layout field
-/// for field (same variant tags, same little-endian scalar order) so the
-/// serialized form and the integrity digest describe the same bytes.
-impl WireCodec for CpuMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CpuMsg::MoveIntent {
-                src,
-                target,
-                bid,
-                tissue_steps,
-            } => {
-                out.put_u8(0);
-                out.put_u64(*src);
-                out.put_u64(*target);
-                out.put_u128(*bid);
-                out.put_u32(*tissue_steps);
-            }
-            CpuMsg::BindIntent { src, target, bid } => {
-                out.put_u8(1);
-                out.put_u64(*src);
-                out.put_u64(*target);
-                out.put_u128(*bid);
-            }
-            CpuMsg::MoveResult { src, won } => {
-                out.put_u8(2);
-                out.put_u64(*src);
-                out.put_bool(*won);
-            }
-            CpuMsg::BindResult { src, won } => {
-                out.put_u8(3);
-                out.put_u64(*src);
-                out.put_bool(*won);
-            }
-            CpuMsg::GhostConc(cells) => {
-                out.put_u8(4);
-                out.put_u64(cells.len() as u64);
-                for c in cells {
-                    c.encode_into(out);
-                }
-            }
-            CpuMsg::GhostState { agents, conc } => {
-                out.put_u8(5);
-                out.put_u64(agents.len() as u64);
-                for a in agents {
-                    out.put_u64(a.gid);
-                    out.put_u8(a.epi_state);
-                    out.put_u32(a.tcell.0);
-                    out.put_bool(a.active);
-                }
-                out.put_u64(conc.len() as u64);
-                for c in conc {
-                    c.encode_into(out);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(match r.read_u8()? {
-            0 => CpuMsg::MoveIntent {
-                src: r.read_u64()?,
-                target: r.read_u64()?,
-                bid: r.read_u128()?,
-                tissue_steps: r.read_u32()?,
-            },
-            1 => CpuMsg::BindIntent {
-                src: r.read_u64()?,
-                target: r.read_u64()?,
-                bid: r.read_u128()?,
-            },
-            2 => CpuMsg::MoveResult {
-                src: r.read_u64()?,
-                won: r.read_bool()?,
-            },
-            3 => CpuMsg::BindResult {
-                src: r.read_u64()?,
-                won: r.read_bool()?,
-            },
-            4 => {
-                let n = r.read_len(16)?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push(ConcCell::decode_from(r)?);
-                }
-                CpuMsg::GhostConc(cells)
-            }
-            5 => {
-                let na = r.read_len(14)?;
-                let mut agents = Vec::with_capacity(na);
-                for _ in 0..na {
-                    agents.push(AgentCell {
-                        gid: r.read_u64()?,
-                        epi_state: r.read_u8()?,
-                        tcell: TCellSlot(r.read_u32()?),
-                        active: r.read_bool()?,
-                    });
-                }
-                let nc = r.read_len(16)?;
-                let mut conc = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    conc.push(ConcCell::decode_from(r)?);
-                }
-                CpuMsg::GhostState { agents, conc }
-            }
-            _ => return None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,56 +324,5 @@ mod tests {
             conc: vec![],
         };
         assert_eq!(state.wire_size(), 16 + 42);
-    }
-
-    #[test]
-    fn wire_codec_roundtrips_every_variant() {
-        let msgs = vec![
-            CpuMsg::MoveIntent {
-                src: u64::MAX,
-                target: 9,
-                bid: u128::MAX - 1,
-                tissue_steps: 40,
-            },
-            CpuMsg::BindIntent {
-                src: 3,
-                target: 4,
-                bid: 11,
-            },
-            CpuMsg::MoveResult { src: 5, won: true },
-            CpuMsg::BindResult { src: 6, won: false },
-            CpuMsg::GhostConc(vec![ConcCell {
-                gid: 1,
-                virions: f32::from_bits(1), // denormal survives bit-exactly
-                chem: -0.0,
-            }]),
-            CpuMsg::GhostConc(vec![]),
-            CpuMsg::GhostState {
-                agents: vec![AgentCell {
-                    gid: 2,
-                    epi_state: 1,
-                    tcell: TCellSlot::EMPTY,
-                    active: true,
-                }],
-                conc: vec![ConcCell {
-                    gid: 3,
-                    virions: 1.0,
-                    chem: 0.0,
-                }],
-            },
-        ];
-        let payload = pgas::wire::encode_bucket(&msgs);
-        let back: Vec<CpuMsg> =
-            pgas::wire::decode_bucket(msgs.len() as u64, &payload).expect("clean payload");
-        assert_eq!(back, msgs);
-        // A clipped payload or a flipped tag must fail decode, not panic.
-        assert!(pgas::wire::decode_bucket::<CpuMsg>(
-            msgs.len() as u64,
-            &payload[..payload.len() - 1]
-        )
-        .is_none());
-        let mut bad = payload.clone();
-        bad[0] = 9; // unknown variant tag
-        assert!(pgas::wire::decode_bucket::<CpuMsg>(msgs.len() as u64, &bad).is_none());
     }
 }

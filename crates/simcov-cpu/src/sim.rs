@@ -11,7 +11,7 @@
 
 use gpusim::{CostModel, DeviceCounters, HwProfile};
 use pgas::fault::{FaultPlan, IntegrityRecord, PendingStateCorruption, SuperstepError};
-use pgas::{allreduce, Bsp, CommCounters, Trace, TransportMode, WorkPool};
+use pgas::{allreduce, Bsp, CommCounters, WorkPool};
 use simcov_core::decomp::{Partition, Strategy};
 use simcov_core::extrav::TrialTable;
 use simcov_core::foi::FoiPattern;
@@ -53,10 +53,6 @@ pub struct CpuSimConfig {
     /// forces inline (serial) execution; `Some(n)` pins `n` workers.
     /// Trajectories are bitwise identical for every value.
     pub threads: Option<usize>,
-    /// Exchange transport. [`TransportMode::InProcess`] (default) uses the
-    /// double-buffered mailboxes; [`TransportMode::Process`] runs one worker
-    /// process per rank over local sockets. Bitwise identical either way.
-    pub transport: TransportMode,
 }
 
 impl CpuSimConfig {
@@ -72,7 +68,6 @@ impl CpuSimConfig {
             retransmit_budget: None,
             kernel: KernelMode::default(),
             threads: None,
-            transport: TransportMode::InProcess,
         }
     }
 
@@ -113,11 +108,6 @@ impl CpuSimConfig {
 
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    pub fn with_transport(mut self, transport: TransportMode) -> Self {
-        self.transport = transport;
         self
     }
 }
@@ -165,10 +155,6 @@ impl CpuSim {
         bsp.inject_faults(cfg.fault_plan);
         if let Some(budget) = cfg.retransmit_budget {
             bsp.set_retransmit_budget(budget);
-        }
-        if let TransportMode::Process(tcfg) = cfg.transport {
-            bsp.attach_process_transport(tcfg)
-                .map_err(|e| ConfigError::Transport(e.to_string()))?;
         }
         Ok(CpuSim {
             core,
@@ -225,20 +211,6 @@ impl Executor for CpuSim {
 
     fn bsp_counters(&self) -> CommCounters {
         self.bsp.counters
-    }
-
-    fn bsp_trace(&self) -> &Trace {
-        &self.bsp.trace
-    }
-
-    fn bsp_enable_trace(&mut self) {
-        self.bsp.enable_trace();
-    }
-
-    fn wire_counters(&self) -> Option<pgas::TransportCounters> {
-        self.bsp
-            .has_transport()
-            .then(|| self.bsp.transport_counters().clone())
     }
 
     fn attach_unit_telemetry(&mut self) {

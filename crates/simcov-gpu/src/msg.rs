@@ -9,7 +9,6 @@
 use pgas::counters::WireSize;
 use pgas::crc::{Crc64, Payload};
 use pgas::fault::SplitMix64;
-use pgas::wire::{WireCodec, WireReader, WireWrite};
 use simcov_core::tcell::TCellSlot;
 
 /// One voxel's bid contributions (only non-empty entries travel).
@@ -140,69 +139,6 @@ impl Payload for GpuMsg {
     }
 }
 
-/// Process-boundary codec, mirroring the [`Payload::digest`] layout field
-/// for field (same variant tags, same little-endian scalar order).
-impl WireCodec for GpuMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GpuMsg::Bids(cells) => {
-                out.put_u8(0);
-                out.put_u64(cells.len() as u64);
-                for c in cells {
-                    out.put_u64(c.gid);
-                    out.put_u128(c.move_bid);
-                    out.put_u128(c.bind_bid);
-                }
-            }
-            GpuMsg::Halo(cells) => {
-                out.put_u8(1);
-                out.put_u64(cells.len() as u64);
-                for c in cells {
-                    out.put_u64(c.gid);
-                    out.put_u8(c.epi_state);
-                    out.put_u32(c.epi_timer);
-                    out.put_u32(c.tcell.0);
-                    out.put_f32(c.virions);
-                    out.put_f32(c.chem);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(match r.read_u8()? {
-            0 => {
-                let n = r.read_len(40)?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push(BidCell {
-                        gid: r.read_u64()?,
-                        move_bid: r.read_u128()?,
-                        bind_bid: r.read_u128()?,
-                    });
-                }
-                GpuMsg::Bids(cells)
-            }
-            1 => {
-                let n = r.read_len(25)?;
-                let mut cells = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cells.push(HaloCell {
-                        gid: r.read_u64()?,
-                        epi_state: r.read_u8()?,
-                        epi_timer: r.read_u32()?,
-                        tcell: TCellSlot(r.read_u32()?),
-                        virions: r.read_f32()?,
-                        chem: r.read_f32()?,
-                    });
-                }
-                GpuMsg::Halo(cells)
-            }
-            _ => return None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,37 +200,5 @@ mod tests {
         let h = GpuMsg::Halo(vec![]);
         assert_eq!(h.wire_size(), 16);
         assert_eq!(h.n_cells(), 0);
-    }
-
-    #[test]
-    fn wire_codec_roundtrips_every_variant() {
-        let msgs = vec![
-            GpuMsg::Bids(vec![BidCell {
-                gid: u64::MAX,
-                move_bid: u128::MAX,
-                bind_bid: 1,
-            }]),
-            GpuMsg::Bids(vec![]),
-            GpuMsg::Halo(vec![HaloCell {
-                gid: 3,
-                epi_state: 2,
-                epi_timer: 17,
-                tcell: TCellSlot::EMPTY,
-                virions: f32::from_bits(1), // denormal survives bit-exactly
-                chem: -0.0,
-            }]),
-        ];
-        let payload = pgas::wire::encode_bucket(&msgs);
-        let back: Vec<GpuMsg> =
-            pgas::wire::decode_bucket(msgs.len() as u64, &payload).expect("clean payload");
-        assert_eq!(back, msgs);
-        assert!(pgas::wire::decode_bucket::<GpuMsg>(
-            msgs.len() as u64,
-            &payload[..payload.len() - 1]
-        )
-        .is_none());
-        let mut bad = payload.clone();
-        bad[0] = 7; // unknown variant tag
-        assert!(pgas::wire::decode_bucket::<GpuMsg>(msgs.len() as u64, &bad).is_none());
     }
 }

@@ -12,7 +12,7 @@
 use gpusim::device::LinkTraffic;
 use gpusim::{CostModel, DeviceCounters, HwProfile};
 use pgas::fault::{FaultPlan, IntegrityRecord, PendingStateCorruption, SuperstepError};
-use pgas::{allreduce, Bsp, CommCounters, Trace, TransportMode, WorkPool};
+use pgas::{allreduce, Bsp, CommCounters, WorkPool};
 use simcov_core::decomp::{Partition, Strategy};
 use simcov_core::extrav::TrialTable;
 use simcov_core::foi::FoiPattern;
@@ -63,10 +63,6 @@ pub struct GpuSimConfig {
     /// pool; `Some(0)` forces inline execution; `Some(n)` pins `n` workers.
     /// Trajectories are bitwise identical for every value.
     pub threads: Option<usize>,
-    /// Exchange transport. [`TransportMode::InProcess`] (default) uses the
-    /// double-buffered mailboxes; [`TransportMode::Process`] runs one worker
-    /// process per device over local sockets. Bitwise identical either way.
-    pub transport: TransportMode,
 }
 
 impl GpuSimConfig {
@@ -86,7 +82,6 @@ impl GpuSimConfig {
             retransmit_budget: None,
             kernel: KernelMode::default(),
             threads: None,
-            transport: TransportMode::InProcess,
         }
     }
 
@@ -147,11 +142,6 @@ impl GpuSimConfig {
 
     pub fn with_retransmit_budget(mut self, budget: u64) -> Self {
         self.retransmit_budget = Some(budget);
-        self
-    }
-
-    pub fn with_transport(mut self, transport: TransportMode) -> Self {
-        self.transport = transport;
         self
     }
 
@@ -239,10 +229,6 @@ impl GpuSim {
         if let Some(budget) = cfg.retransmit_budget {
             bsp.set_retransmit_budget(budget);
         }
-        if let TransportMode::Process(tcfg) = cfg.transport {
-            bsp.attach_process_transport(tcfg)
-                .map_err(|e| ConfigError::Transport(e.to_string()))?;
-        }
         Ok(GpuSim {
             core,
             bsp,
@@ -314,20 +300,6 @@ impl Executor for GpuSim {
 
     fn bsp_counters(&self) -> CommCounters {
         self.bsp.counters
-    }
-
-    fn bsp_trace(&self) -> &Trace {
-        &self.bsp.trace
-    }
-
-    fn bsp_enable_trace(&mut self) {
-        self.bsp.enable_trace();
-    }
-
-    fn wire_counters(&self) -> Option<pgas::TransportCounters> {
-        self.bsp
-            .has_transport()
-            .then(|| self.bsp.transport_counters().clone())
     }
 
     fn attach_unit_telemetry(&mut self) {

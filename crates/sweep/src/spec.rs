@@ -277,7 +277,6 @@ impl RunSpec {
             retransmit_budget: self.retransmit_budget,
             kernel: simcov_core::lanes::KernelMode::default(),
             threads: None,
-            transport: pgas::TransportMode::InProcess,
         }
     }
 
@@ -298,7 +297,6 @@ impl RunSpec {
             retransmit_budget: self.retransmit_budget,
             kernel: simcov_core::lanes::KernelMode::default(),
             threads: None,
-            transport: pgas::TransportMode::InProcess,
         }
     }
 

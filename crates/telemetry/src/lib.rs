@@ -9,8 +9,8 @@
 //! - [`Telemetry`] + [`SpanEvent`]: hierarchical spans with parent ids over
 //!   bounded per-track [`EventRing`]s — fixed capacity, explicit drop
 //!   counters, no allocation on the hot path.
-//! - [`MonotonicClock`]: the one timestamp source shared by spans, the
-//!   `pgas` trace, and the bench harness.
+//! - [`MonotonicClock`]: the one timestamp source shared by spans and the
+//!   bench harness.
 //! - Exporters: [`chrome`] (trace-event JSON for `chrome://tracing` /
 //!   Perfetto) and [`prometheus`] (text exposition).
 //! - [`HealthMonitor`]: online straggler / load-imbalance / comm-spike
@@ -30,7 +30,6 @@ pub mod registry;
 pub mod ring;
 pub mod sink;
 pub mod span;
-pub mod wire;
 
 pub use clock::MonotonicClock;
 pub use health::{HealthConfig, HealthKind, HealthMonitor, HealthRecord, RankWalls};
@@ -41,4 +40,3 @@ pub use registry::{
 pub use ring::EventRing;
 pub use sink::{MetricsSink, SharedSink, StepRecord};
 pub use span::{OpenSpan, SpanEvent, SpanKind, Telemetry};
-pub use wire::WireStats;

@@ -2,7 +2,7 @@
 //!
 //! The hot path of the runtime must never allocate or block to record an
 //! event, and a long run must never grow an unbounded trace (the failure
-//! mode of the original `pgas::trace` `Vec`). An [`EventRing`] is a
+//! mode of an append-only `Vec` log). An [`EventRing`] is a
 //! fixed-capacity circular buffer: pushes are wait-free stores from a single
 //! writer thread, the ring keeps the most recent `capacity` events, and
 //! everything older is counted — never silently lost — in [`EventRing::dropped`].

@@ -122,35 +122,6 @@ for exec in cpu gpu; do
     echo "crash-restart OK ($exec): resumed CSV identical to the uninterrupted run"
 done
 
-# Process-transport smoke: the socket transport (one worker process per
-# rank, CRC64-sealed frames, read/write deadlines) must be invisible in the
-# results — the 4-rank socket run is byte-identical to the in-process run
-# on both executors — and a worker SIGKILLed at a barrier must recover
-# through the rollback/re-partition ladder to the same bytes. Every run is
-# wrapped in a hard timeout so a wedged worker can never hang the gate.
-echo "== process transport smoke (socket ranks + kill-and-recover) =="
-for exec in cpu gpu; do
-    timeout 180 cargo run --release -q -p simcov-bench --bin simcov -- target/verify_sdc.config \
-        --executor "$exec" --units 4 \
-        --out-csv "target/verify_pt_${exec}_inproc.csv" 2>/dev/null >/dev/null
-    timeout 180 cargo run --release -q -p simcov-bench --bin simcov -- target/verify_sdc.config \
-        --executor "$exec" --units 4 --transport process \
-        --out-csv "target/verify_pt_${exec}_socket.csv" 2>/dev/null >/dev/null
-    if ! cmp -s "target/verify_pt_${exec}_inproc.csv" "target/verify_pt_${exec}_socket.csv"; then
-        echo "process-transport $exec run diverged from the in-process run"
-        exit 1
-    fi
-    echo "process transport OK ($exec): socket CSV identical to in-process"
-done
-timeout 180 cargo run --release -q -p simcov-bench --bin simcov -- target/verify_sdc.config \
-    --executor cpu --units 4 --transport process --wire-kill 30:1 \
-    --out-csv target/verify_pt_killed.csv 2>/dev/null >/dev/null
-if ! cmp -s target/verify_pt_cpu_inproc.csv target/verify_pt_killed.csv; then
-    echo "kill-and-recover run diverged from the failure-free run"
-    exit 1
-fi
-echo "process transport OK (kill-and-recover): recovered CSV identical to failure-free"
-
 # Telemetry smoke: both exporters on a 32x32 run, per executor. The Chrome
 # trace must parse and nest (>= 4 span levels on the GPU executor: step ->
 # superstep -> rank-phase -> kernel; >= 3 on the CPU executor, which has no

@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: per-step [`StepRecord`]s
 //! emitted through a [`MetricsSink`] must agree across executors, and the
-//! runtime's per-superstep trace must reconcile exactly with the BSP
-//! communication counters.
+//! runtime's per-superstep telemetry spans must reconcile exactly with the
+//! BSP communication counters.
 
 use simcov_repro::gpusim::SharedSink;
 use simcov_repro::simcov_core::grid::GridDims;
@@ -9,6 +9,7 @@ use simcov_repro::simcov_core::params::SimParams;
 use simcov_repro::simcov_cpu::{CpuSim, CpuSimConfig};
 use simcov_repro::simcov_driver::Simulation;
 use simcov_repro::simcov_gpu::{GpuSim, GpuSimConfig};
+use simcov_repro::simcov_telemetry::{SpanKind, Telemetry};
 
 fn params(seed: u64) -> SimParams {
     SimParams::test_config(GridDims::new2d(32, 32), 30, 6, seed)
@@ -76,43 +77,52 @@ fn step_record_comm_deltas_sum_to_counters() {
     assert_eq!(rec_bytes, comm.bytes + comm.bulk_bytes);
 }
 
-/// The trace's per-superstep events must reconcile exactly with the BSP
-/// counters: one event per superstep, and summed volumes equal the
-/// cumulative totals — on both executors.
+/// The telemetry span stream must reconcile exactly with the BSP counters:
+/// one "superstep" span per superstep, and the "exchange" spans' delivered
+/// volumes summing to the cumulative totals — on both executors.
 #[test]
 fn trace_comm_totals_equal_bsp_counters() {
     let mut cpu = CpuSim::new(CpuSimConfig::new(params(11), 4)).expect("valid config");
-    cpu.enable_trace();
+    let tel = Telemetry::enabled(5, 1 << 14);
+    cpu.enable_telemetry(tel.clone());
     cpu.run().expect("healthy run");
-    check_trace_matches_counters(cpu.trace(), cpu.comm_counters(), "cpu");
+    check_spans_match_counters(&tel, cpu.comm_counters(), "cpu");
 
     let mut gpu = GpuSim::new(GpuSimConfig::new(params(11), 4)).expect("valid config");
-    gpu.enable_trace();
+    let tel = Telemetry::enabled(5, 1 << 14);
+    gpu.enable_telemetry(tel.clone());
     gpu.run().expect("healthy run");
-    check_trace_matches_counters(gpu.trace(), gpu.comm_counters(), "gpu");
+    check_spans_match_counters(&tel, gpu.comm_counters(), "gpu");
 }
 
-fn check_trace_matches_counters(
-    trace: &simcov_repro::pgas::Trace,
-    comm: simcov_repro::pgas::CommCounters,
-    who: &str,
-) {
-    let events: Vec<_> = trace.events_for("superstep").collect();
+fn check_spans_match_counters(tel: &Telemetry, comm: simcov_repro::pgas::CommCounters, who: &str) {
+    assert_eq!(tel.dropped(), 0, "{who}: the rings kept every span");
+    let events = tel.events();
+    let supersteps: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Superstep && e.label == "superstep")
+        .collect();
     assert_eq!(
-        events.len() as u64,
+        supersteps.len() as u64,
         comm.supersteps,
-        "{who}: one trace event per superstep"
+        "{who}: one superstep span per superstep"
     );
-    let v = trace.total_volume();
-    assert_eq!(v.messages, comm.messages, "{who}: p2p message totals");
-    assert_eq!(v.bytes, comm.bytes, "{who}: p2p byte totals");
+    let (msgs, bytes) = events
+        .iter()
+        .filter(|e| e.kind == SpanKind::RankPhase && e.label == "exchange")
+        .fold((0, 0), |(m, b), e| (m + e.a, b + e.b));
     assert_eq!(
-        v.bulk_messages, comm.bulk_messages,
-        "{who}: bulk message totals"
+        msgs,
+        comm.messages + comm.bulk_messages,
+        "{who}: exchanged message totals"
     );
-    assert_eq!(v.bulk_bytes, comm.bulk_bytes, "{who}: bulk byte totals");
-    for e in &events {
-        assert!(e.wall_ns > 0, "{who}: every superstep span measured time");
+    assert_eq!(
+        bytes,
+        comm.bytes + comm.bulk_bytes,
+        "{who}: exchanged byte totals"
+    );
+    for e in &supersteps {
+        assert!(e.dur_ns > 0, "{who}: every superstep span measured time");
     }
 }
 
@@ -126,7 +136,7 @@ fn metrics_sink_does_not_perturb_simulation() {
     let sink = SharedSink::new();
     let mut observed = CpuSim::new(CpuSimConfig::new(params(23), 3)).expect("valid config");
     observed.set_metrics_sink(Box::new(sink.clone()));
-    observed.enable_trace();
+    observed.enable_telemetry(Telemetry::enabled(4, 1 << 12));
     observed.run().expect("healthy run");
 
     assert_eq!(plain.history().steps.len(), observed.history().steps.len());
